@@ -1841,23 +1841,30 @@ def _lloyd_ctes(n_lists: int, iters: int) -> tuple[str, str]:
     euclidean distance with argmin's lowest-index tie-break, per-dimension
     AVG rebuild, empty clusters keep their previous centroid) — mirrors
     stages/ann.py::_kmeans exactly.  Returns (init VALUES, lloyd CTE
-    chain); the caller provides `smp` and consumes `cent{iters}`."""
+    chain); the caller provides `smp` and consumes `cent{iters}`.
+
+    Every CTE of the chain is `AS MATERIALIZED`: DuckDB inlines a CTE that
+    is not, and each `cent{i+1}` reads `cent{i}` twice (directly in its
+    LEFT JOIN, and through `mean{i}` -> `asg{i}`), so an inlined chain of
+    `iters` iterations re-expands into ~2**iters copies of the seed plan
+    and runs out of memory even on 500 vectors.  Materializing computes
+    each iteration once; the SQL's meaning is unchanged."""
     idx = np.random.default_rng(7).choice(256, size=n_lists, replace=False)
     init_vals = ", ".join(f"({j}, {int(idx[j])})" for j in range(n_lists))
     lloyd = []
     for i in range(iters):
         lloyd.append(f"""
-asg{i} AS (
+asg{i} AS MATERIALIZED (
   SELECT vec_id, cl FROM (
     SELECT s.vec_id, c.cl,
            row_number() OVER (PARTITION BY s.vec_id
                               ORDER BY list_distance(s.v, c.c), c.cl) AS rn
     FROM smp s, cent{i} c) WHERE rn = 1),
-mean{i} AS (
+mean{i} AS MATERIALIZED (
   SELECT a.cl, r.i AS i, AVG(s.v[r.i]) AS m
   FROM asg{i} a JOIN smp s USING (vec_id), range(1, {EMB_DIM + 1}) r(i)
   GROUP BY a.cl, r.i),
-cent{i + 1} AS (
+cent{i + 1} AS MATERIALIZED (
   SELECT c.cl, COALESCE(nm.c2, c.c) AS c FROM cent{i} c LEFT JOIN (
     SELECT cl, list(m ORDER BY i) AS c2 FROM mean{i} GROUP BY cl) nm USING (cl))""")
     return init_vals, ",".join(lloyd)
@@ -6127,14 +6134,18 @@ def _semdedup_group(g: pd.DataFrame, threshold: float | None = None) -> pd.DataF
 def _sql_emb_semdedup() -> str:
     """Full-SQL SemDeDup replay: the shared Lloyd CTE chain assigns every
     vector, then a within-cluster self-join takes MIN(earlier vec_id with
-    cosine >= cut) per vector — value-exact vs the engine."""
+    cosine >= cut) per vector — value-exact vs the engine.  `sd_asg` is
+    read three times (both sides of the `sd_dup` self-join and the final
+    LEFT JOIN), so, like the Lloyd chain it consumes, it is
+    `AS MATERIALIZED`: DuckDB would otherwise inline the whole chain into
+    each read."""
     init_vals, lloyd_sql = _lloyd_ctes(KMEANS_CLUSTERS, KMEANS_ITERS)
     return f"""
 WITH smp AS (SELECT vec_id, embedding::DOUBLE[] AS v FROM embeddings WHERE vec_id < 256),
 init(cl, vid) AS (VALUES {init_vals}),
 cent0 AS (SELECT i.cl, s.v AS c FROM init i JOIN smp s ON s.vec_id = i.vid),
 {lloyd_sql},
-sd_asg AS (
+sd_asg AS MATERIALIZED (
   SELECT vec_id, cl AS cluster, embedding FROM (
     SELECT e.vec_id, e.embedding, c.cl,
            row_number() OVER (PARTITION BY e.vec_id

@@ -4,6 +4,7 @@ rows, exact equality on the stringified values — floats must match exactly,
 which the shared duck_round discipline guarantees)."""
 
 import math
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -55,7 +56,7 @@ def _to_pandas(result) -> pd.DataFrame:
 def _oracle_names():
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from crawler_ray.pipelines.queries import oracle_sql
 
     return sorted(oracle_sql().keys())
@@ -88,3 +89,18 @@ def test_every_query_has_an_oracle(ray_session):
     from crawler_ray.pipelines.queries import QUERIES, oracle_sql
 
     assert set(QUERIES) - set(oracle_sql()) == set()
+
+
+@pytest.mark.parametrize("name", ["emb_semdedup", "knn_ann_ivf", "emb_kmeans_assign"])
+def test_lloyd_oracles_fit_small_memory(name, ray_session, sf_dir):
+    """The k-means-family oracles replay 8 Lloyd iterations as chained
+    CTEs; each `cent{i+1}` reads `cent{i}` twice, so unless the chain is
+    `AS MATERIALIZED` DuckDB inlines it into ~2**8 copies and runs out of
+    memory on 500 vectors.  Under a 1 GB cap a dropped hint fails here in
+    seconds instead of exhausting the host in the oracle test above."""
+    from crawler_ray.pipelines.queries import QUERIES, oracle_sql
+
+    con = _duck(sf_dir)
+    con.sql("SET memory_limit='1GB'")
+    duck_df = con.sql(oracle_sql()[name]).df()
+    assert len(duck_df) == len(_to_pandas(QUERIES[name](sf_dir)))
